@@ -43,7 +43,7 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
 
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -54,6 +54,7 @@ pub fn parse_value(text: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -179,12 +180,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once.
+                    // Both are ASCII bytes, which never occur inside a
+                    // multi-byte UTF-8 sequence, so the run ends on a char
+                    // boundary of the (already valid) input text.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -273,5 +281,7 @@ mod tests {
     fn unicode_and_escapes() {
         let v = parse_value(r#""café λ""#).unwrap();
         assert_eq!(v, Value::String("café λ".into()));
+        let v = parse_value(r#""é\"λ\\✓\u00e9x""#).unwrap();
+        assert_eq!(v, Value::String("é\"λ\\✓éx".into()));
     }
 }

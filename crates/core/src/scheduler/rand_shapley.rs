@@ -36,6 +36,11 @@ pub struct RandScheduler {
 }
 
 impl RandScheduler {
+    /// The most organizations RAND supports: its sampled coalitions are
+    /// `u64` bitsets. The `rand` registry factory rejects larger traces
+    /// with a typed error.
+    pub const MAX_ORGS: usize = 64;
+
     /// RAND with an explicit number of sampled permutations (the paper's
     /// experiments use 15 and 75).
     pub fn new(trace: &Trace, n_permutations: usize, seed: u64) -> Self {

@@ -37,12 +37,17 @@ pub struct RefScheduler {
 }
 
 impl RefScheduler {
+    /// The most organizations REF supports: its lattice holds `2^k`
+    /// sub-schedules. The `ref` registry factory rejects larger traces
+    /// with a typed error.
+    pub const MAX_ORGS: usize = 16;
+
     /// Builds REF for a trace (machine layout and the duration oracle are
     /// read from it).
     ///
     /// # Panics
-    /// Panics if the trace has more than 16 organizations (the lattice
-    /// holds `2^k` sub-schedules).
+    /// Panics if the trace has more than [`MAX_ORGS`](Self::MAX_ORGS)
+    /// organizations.
     pub fn new(trace: &Trace) -> Self {
         let machines: Vec<usize> = trace.orgs().iter().map(|o| o.n_machines).collect();
         let k = machines.len();

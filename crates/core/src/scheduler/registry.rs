@@ -86,6 +86,17 @@ pub enum SpecError {
         /// What was wrong with the value.
         reason: String,
     },
+    /// The trace has more organizations than the scheduler can hold: the
+    /// exact Shapley schedulers keep `2^k` sub-schedules, and RAND's
+    /// coalitions are `u64` bitsets.
+    TooManyOrgs {
+        /// The scheduler name.
+        scheduler: String,
+        /// The trace's organization count.
+        orgs: usize,
+        /// The most organizations the scheduler supports.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -115,6 +126,11 @@ impl fmt::Display for SpecError {
             SpecError::BadParam { scheduler, param, reason } => {
                 write!(f, "bad value for {scheduler}:{param}: {reason}")
             }
+            SpecError::TooManyOrgs { scheduler, orgs, max } => write!(
+                f,
+                "scheduler {scheduler:?} supports at most {max} organizations, \
+                 the trace has {orgs}"
+            ),
         }
     }
 }
@@ -418,6 +434,24 @@ impl Registry {
     }
 }
 
+/// Rejects a trace with more than `max` organizations before the
+/// scheduler allocates anything for it.
+fn fits(
+    spec: &SchedulerSpec,
+    ctx: &BuildContext<'_>,
+    max: usize,
+) -> Result<(), SpecError> {
+    let orgs = ctx.trace.n_orgs();
+    if orgs > max {
+        return Err(SpecError::TooManyOrgs {
+            scheduler: spec.name().to_string(),
+            orgs,
+            max,
+        });
+    }
+    Ok(())
+}
+
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Registry")
@@ -448,13 +482,17 @@ impl Default for Registry {
             "ref",
             "exact Shapley reference (exponential in the number of organizations)",
             &[],
-            |_, ctx| Ok(Box::new(RefScheduler::new(ctx.trace))),
+            |spec, ctx| {
+                fits(spec, ctx, RefScheduler::MAX_ORGS)?;
+                Ok(Box::new(RefScheduler::new(ctx.trace)))
+            },
         );
         r.register_fn(
             "general-ref",
             "REF generalized to a pluggable utility function",
             &["util"],
             |spec, ctx| {
+                fits(spec, ctx, GeneralRefScheduler::MAX_ORGS)?;
                 let util = spec.get("util").unwrap_or("sp");
                 Ok(match util {
                     "sp" => Box::new(GeneralRefScheduler::new(ctx.trace, SpUtility)),
@@ -478,6 +516,7 @@ impl Default for Registry {
             "randomized Shapley sampling (the paper's RAND / FPRAS)",
             &["perms", "eps", "lambda"],
             |spec, ctx| {
+                fits(spec, ctx, RandScheduler::MAX_ORGS)?;
                 if spec.get("eps").is_some() || spec.get("lambda").is_some() {
                     if spec.get("perms").is_some() {
                         return Err(spec.bad_param(
@@ -784,5 +823,36 @@ mod tests {
         let back = SchedulerSpec::from_value(&v).unwrap();
         assert_eq!(back, spec);
         assert!(SchedulerSpec::from_value(&serde::Value::Number("3".into())).is_err());
+    }
+
+    #[test]
+    fn capacity_limits_are_typed_errors() {
+        let trace = |k: usize| {
+            let mut b = Trace::builder();
+            for i in 0..k {
+                let o = b.org(format!("o{i}"), 1);
+                b.job(o, 0, 1);
+            }
+            b.build().unwrap()
+        };
+        let registry = Registry::default();
+        for (spec, max) in [("ref", 16), ("general-ref", 12), ("rand", 64)] {
+            let over = trace(max + 1);
+            let err = registry.build_str(spec, &BuildContext { trace: &over, seed: 0 });
+            assert!(
+                matches!(
+                    &err,
+                    Err(SpecError::TooManyOrgs { scheduler, orgs, max: m })
+                        if scheduler == spec && *orgs == max + 1 && *m == max
+                ),
+                "{spec}: {:?}",
+                err.err()
+            );
+        }
+        // At the cap itself the general REF still builds.
+        let at = trace(12);
+        assert!(registry
+            .build_str("general-ref", &BuildContext { trace: &at, seed: 0 })
+            .is_ok());
     }
 }

@@ -64,6 +64,19 @@ impl CellKey {
         )
     }
 
+    /// Whether `other` is in the same row as this cell: the same
+    /// workload, seeds, horizon, validation and metrics — every input but
+    /// the scheduler (and the instance index, which only names the seeds).
+    /// A row's cells share one trace and one REF reference.
+    pub(crate) fn same_row(&self, other: &CellKey) -> bool {
+        self.workload == other.workload
+            && self.workload_seed == other.workload_seed
+            && self.scheduler_seed == other.scheduler_seed
+            && self.horizon == other.horizon
+            && self.validate == other.validate
+            && self.metrics == other.metrics
+    }
+
     /// The cell's content address: FNV-1a 128-bit of the canonical key,
     /// as 32 lowercase hex digits.
     pub fn hash(&self) -> String {

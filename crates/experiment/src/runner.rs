@@ -30,8 +30,7 @@ use crate::cell::{cell_keys, decode_cell, encode_cell, CellKey, StoredCell};
 use crate::failpoint::{Fault, FaultPlan};
 use crate::journal::{self, Journal, JournalEntry};
 use crate::spec::{ExperimentSpec, SpecLoadError};
-use fairsched_sim::{Report, SimError, Simulation};
-use fairsched_workloads::spec::{WorkloadContext, WorkloadRegistry};
+use fairsched_sim::{Report, ReportRow, SimError, Simulation};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
@@ -329,6 +328,9 @@ impl Runner {
         let mut summary =
             RunSummary { total: keys.len() as u64, ..RunSummary::default() };
         let mut outcomes: Vec<(CellKey, StoredCell)> = Vec::with_capacity(keys.len());
+        // The row of the cell computed last, keyed by that cell: a row's
+        // cells are contiguous in grid order, so one open row suffices.
+        let mut row: Option<(CellKey, ReportRow<'static>)> = None;
         for key in keys {
             if let Some(stored) = self.read_stored(&key) {
                 summary.skipped += 1;
@@ -344,7 +346,16 @@ impl Runner {
                 state: "running".into(),
                 attempt: 1,
             })?;
-            let computed = compute_cell(&key);
+            let computed = match &mut row {
+                Some((first, open)) if first.same_row(&key) => {
+                    open.report(&key.scheduler)
+                }
+                _ => {
+                    row = None;
+                    let (_, open) = row.insert((key.clone(), open_row(&key)));
+                    open.report(&key.scheduler)
+                }
+            };
             let encoded = encode_cell(&key, &computed);
             let mut text = encoded.to_json_pretty();
             text.push('\n');
@@ -425,39 +436,29 @@ impl Runner {
 }
 
 /// Computes one cell, purely: no filesystem side effects, so a crash can
-/// never leave a half-computed cell behind. Coupled seed plans (equal
-/// strides) go through the exact [`Simulation::run_grid_reports`] code
-/// path — session seed drives both workload build and scheduler — so an
-/// experiment with default strides reproduces a grid sweep bit for bit.
+/// never leave a half-computed cell behind. It is the one-cell case of
+/// the row that [`Runner::run`] keeps while it walks a row's cells, so a
+/// cell's report does not depend on whether its row-mates were computed
+/// in the same invocation. A coupled seed plan (equal strides) gives both
+/// seeds one value, as [`Simulation::run_grid_reports`] does with its
+/// session seed, so an experiment with default strides reproduces a grid
+/// sweep bit for bit.
 pub fn compute_cell(key: &CellKey) -> Result<Report, SimError> {
-    let mut session =
-        Simulation::session().metric_specs(key.metrics.clone()).validate(key.validate);
-    if let Some(h) = key.horizon {
-        session = session.horizon(h);
-    }
-    if key.workload_seed == key.scheduler_seed {
-        return session
-            .seed(key.workload_seed)
-            .workload_spec(key.workload.clone())
-            .scheduler_spec(key.scheduler.clone())
-            .run_report();
-    }
-    // Decoupled axes: build the trace at the workload seed, run the
-    // session at the scheduler seed, and keep workload provenance.
-    let trace = WorkloadRegistry::shared()
-        .build(&key.workload, &WorkloadContext { seed: key.workload_seed })
-        .map_err(SimError::Workload)?;
-    let mut session = Simulation::new(&trace)
+    open_row(key).report(&key.scheduler)
+}
+
+/// Opens the [`ReportRow`] of `key`'s row (see [`CellKey::same_row`]):
+/// the trace built at the workload seed, schedulers run at the scheduler
+/// seed, and the row's REF reference computed at most once.
+fn open_row(key: &CellKey) -> ReportRow<'static> {
+    let mut session = Simulation::session()
         .metric_specs(key.metrics.clone())
         .validate(key.validate)
-        .seed(key.scheduler_seed)
-        .scheduler_spec(key.scheduler.clone());
+        .seed(key.scheduler_seed);
     if let Some(h) = key.horizon {
         session = session.horizon(h);
     }
-    let mut report = session.run_report()?;
-    report.workload_spec = Some(key.workload.clone());
-    Ok(report)
+    session.workload_row(&key.workload, key.workload_seed)
 }
 
 /// Builds the three final report sinks from decoded cells. Pure and
@@ -692,6 +693,38 @@ mod tests {
         assert_eq!((status.done, status.failed, status.pending), (2, 1, 0));
         assert!(read(&dir, "report.csv").contains("status=failed"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A row past REF's capacity fails, typed, exactly the cells that
+    /// need its reference; the other row, and reference-free cells of the
+    /// same row, still complete.
+    #[test]
+    fn ref_capacity_fails_only_the_cells_that_need_the_reference() {
+        let mut spec = ExperimentSpec::new(
+            "capacity",
+            vec!["fpt:k=4".parse().unwrap(), "fpt:horizon=50,k=17".parse().unwrap()],
+            vec!["fifo".parse().unwrap(), "ref".parse().unwrap()],
+        );
+        spec.horizon = Some(50);
+        for (metrics, failed) in [(&["delay", "psi"][..], 2), (&["psi"][..], 1)] {
+            spec.metrics = metrics.iter().map(|m| m.parse().unwrap()).collect();
+            let dir = fresh_dir(&format!("capacity-{}", metrics.len()));
+            let summary =
+                Runner::new(spec.clone(), &dir, RunnerOptions::default()).run().unwrap();
+            assert_eq!((summary.total, summary.failed), (4, failed), "{metrics:?}");
+            let json = read(&dir, "report.json");
+            assert!(json.contains("supports at most 16 organizations, the trace has 17"));
+            for key in cell_keys(&spec) {
+                let stored = Runner::new(spec.clone(), &dir, RunnerOptions::default())
+                    .read_stored(&key)
+                    .unwrap();
+                let needs_ref =
+                    key.scheduler.name() == "ref" || metrics.contains(&"delay");
+                let fails = key.workload.to_string().contains("k=17") && needs_ref;
+                assert_eq!(stored.status == "failed", fails, "{}", key.canonical());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -391,13 +391,16 @@ fn opt_number<T: std::str::FromStr>(
     }
 }
 
+/// Parses the spec-string array `key`, rejecting entries that repeat an
+/// earlier one (compared in canonical form): a duplicate axis entry would
+/// name the same cells twice.
 fn parse_spec_list<T>(
     v: &Value,
     key: &str,
     required: bool,
 ) -> Result<Vec<T>, SpecLoadError>
 where
-    T: std::str::FromStr,
+    T: std::str::FromStr + fmt::Display,
     T::Err: fmt::Display,
 {
     let items = match v.get(key) {
@@ -410,14 +413,22 @@ where
         return Err(SpecLoadError::new(key, "must not be empty"));
     }
     let mut out = Vec::with_capacity(items.len());
+    let mut canonical: Vec<String> = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
         let at = format!("{key}[{i}]");
-        match item {
-            Value::String(s) => out.push(
-                s.parse::<T>().map_err(|e| SpecLoadError::new(&at, e.to_string()))?,
-            ),
-            _ => return Err(SpecLoadError::new(&at, "expected a spec string")),
+        let Value::String(s) = item else {
+            return Err(SpecLoadError::new(&at, "expected a spec string"));
+        };
+        let spec = s.parse::<T>().map_err(|e| SpecLoadError::new(&at, e.to_string()))?;
+        let text = spec.to_string();
+        if let Some(first) = canonical.iter().position(|c| *c == text) {
+            return Err(SpecLoadError::new(
+                &at,
+                format!("duplicate of {key}[{first}] ({text:?})"),
+            ));
         }
+        canonical.push(text);
+        out.push(spec);
     }
     Ok(out)
 }
@@ -500,6 +511,24 @@ mod tests {
                     "workloads": ["fpt:k=2"], "schedulers": ["fifo"],
                     "seeds": {"count": 0}}"#,
                 "seeds.count",
+            ),
+            // Duplicates are caught in canonical form (sorted params).
+            (
+                r#"{"schema": "fairsched-experiment/v1", "name": "x",
+                    "workloads": ["fpt:k=2,horizon=9", "fpt:horizon=9,k=2"],
+                    "schedulers": ["fifo"]}"#,
+                "workloads[1]",
+            ),
+            (
+                r#"{"schema": "fairsched-experiment/v1", "name": "x",
+                    "workloads": ["fpt:k=2"], "schedulers": ["ref", "fifo", "ref"]}"#,
+                "schedulers[2]",
+            ),
+            (
+                r#"{"schema": "fairsched-experiment/v1", "name": "x",
+                    "workloads": ["fpt:k=2"], "schedulers": ["fifo"],
+                    "metrics": ["psi", "delay", "psi"]}"#,
+                "metrics[2]",
             ),
             (
                 r#"{"schema": "fairsched-experiment/v1", "name": "x",

@@ -423,13 +423,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    fn options_for(&self, trace: &Trace) -> SimOptions {
-        SimOptions {
-            horizon: self.horizon.unwrap_or_else(|| trace.completion_horizon()),
-            validate: self.validate,
-        }
-    }
-
     /// The registry this session resolves scheduler specs through: the
     /// explicit one if supplied, else the process-wide [`Registry::shared`]
     /// default (built once behind a `OnceLock`, not per call).
@@ -459,13 +452,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Runs the REF reference scheduler over `trace` with this session's
-    /// settings (for reference-based metrics).
-    fn run_reference(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        let mut scheduler = self.build_spec(&SchedulerSpec::bare("ref"), trace)?;
-        run_scheduler(trace, scheduler.as_mut(), self.options_for(trace))
-    }
-
     /// The session's workload provenance, if it was chosen by spec.
     fn workload_provenance(&self) -> Option<WorkloadSpec> {
         match &self.source {
@@ -488,25 +474,17 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn build_spec(
-        &self,
-        spec: &SchedulerSpec,
-        trace: &Trace,
-    ) -> Result<Box<dyn Scheduler>, SimError> {
-        let ctx = BuildContext { trace, seed: self.seed };
-        self.resolve_registry().build(spec, &ctx).map_err(SimError::from)
-    }
-
     /// Runs the session, consuming it.
-    pub fn run(self) -> Result<SimResult, SimError> {
-        let trace = self.resolve_trace()?;
-        let options = self.options_for(&trace);
-        let mut scheduler = match self.chosen {
-            Chosen::None => return Err(SimError::NoScheduler),
-            Chosen::Instance(s) => s,
-            Chosen::Spec(ref spec) => self.build_spec(spec, &trace)?,
-        };
-        run_scheduler(&trace, scheduler.as_mut(), options)
+    pub fn run(mut self) -> Result<SimResult, SimError> {
+        let chosen = std::mem::replace(&mut self.chosen, Chosen::None);
+        let row = self.row(self.resolve_trace(), None);
+        match chosen {
+            Chosen::None => row.inputs.trace().and(Err(SimError::NoScheduler)),
+            Chosen::Spec(spec) => row.inputs.run(&spec),
+            Chosen::Instance(mut scheduler) => {
+                row.inputs.run_instance(scheduler.as_mut())
+            }
+        }
     }
 
     /// Runs one simulation per spec with this session's settings (same
@@ -527,25 +505,7 @@ impl<'a> Simulation<'a> {
         specs: &[SchedulerSpec],
     ) -> Result<Vec<SimResult>, SimError> {
         let trace = self.resolve_trace()?;
-        self.run_matrix_on(&trace, specs).into_iter().collect()
-    }
-
-    /// The shared fan-out core of [`run_matrix`](Simulation::run_matrix)
-    /// and [`run_grid`](Simulation::run_grid): one result per scheduler
-    /// spec, in spec order, over an already-resolved trace.
-    fn run_matrix_on(
-        &self,
-        trace: &Trace,
-        specs: &[SchedulerSpec],
-    ) -> Vec<Result<SimResult, SimError>> {
-        let options = self.options_for(trace);
-        let registry = self.resolve_registry();
-        let seed = self.seed;
-        crate::parallel::parallel_map(specs.to_vec(), move |spec| {
-            let ctx = BuildContext { trace, seed };
-            let mut scheduler = registry.build(&spec, &ctx).map_err(SimError::from)?;
-            run_scheduler(trace, scheduler.as_mut(), options)
-        })
+        self.row(Ok(trace), None).runs(specs).into_iter().collect()
     }
 
     /// Runs the full `(workload × scheduler)` spec grid with this
@@ -565,30 +525,15 @@ impl<'a> Simulation<'a> {
         workloads: &[WorkloadSpec],
         schedulers: &[SchedulerSpec],
     ) -> Vec<GridCell> {
-        let ctx = WorkloadContext { seed: self.seed };
-        let registry = self.resolve_workloads();
         let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
         for wspec in workloads {
-            match registry.build(wspec, &ctx) {
-                Err(e) => {
-                    for sspec in schedulers {
-                        cells.push(GridCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            result: Err(SimError::Workload(e.clone())),
-                        });
-                    }
-                }
-                Ok(trace) => {
-                    let row = self.run_matrix_on(&trace, schedulers);
-                    for (sspec, result) in schedulers.iter().zip(row) {
-                        cells.push(GridCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            result,
-                        });
-                    }
-                }
+            let row = self.workload_row(wspec, self.seed).runs(schedulers);
+            for (sspec, result) in schedulers.iter().zip(row) {
+                cells.push(GridCell {
+                    workload: wspec.clone(),
+                    scheduler: sspec.clone(),
+                    result,
+                });
             }
         }
         cells
@@ -599,40 +544,19 @@ impl<'a> Simulation<'a> {
     /// metric specs (set with [`metrics`](Simulation::metrics); default
     /// [`DEFAULT_REPORT_METRICS`]). When any chosen metric compares
     /// against REF (`delay`, `ranking`), the exact reference schedule is
-    /// run automatically with the same settings.
+    /// run automatically with the same settings — once: a `ref`
+    /// scheduler is its own reference (see [`ReportRow`]).
     pub fn run_report(mut self) -> Result<Report, SimError> {
-        let specs = self.effective_metrics();
-        let metric_registry = self.resolve_metrics();
         let chosen = std::mem::replace(&mut self.chosen, Chosen::None);
-        let scheduler_spec = match &chosen {
-            Chosen::Spec(spec) => Some(spec.clone()),
-            _ => None,
-        };
-        let workload_spec = self.workload_provenance();
-        let trace = self.resolve_trace()?;
-        let options = self.options_for(&trace);
-        let mut scheduler = match chosen {
-            Chosen::None => return Err(SimError::NoScheduler),
-            Chosen::Instance(s) => s,
-            Chosen::Spec(ref spec) => self.build_spec(spec, &trace)?,
-        };
-        let result = run_scheduler(&trace, scheduler.as_mut(), options)?;
-        let reference = if metric_registry.any_needs_reference(&specs) {
-            Some(self.run_reference(&trace)?)
-        } else {
-            None
-        };
-        let mut report = Report::evaluate(
-            metric_registry,
-            &specs,
-            &trace,
-            &result,
-            reference.as_ref(),
-        )?;
-        report.seed = self.seed;
-        report.scheduler_spec = scheduler_spec;
-        report.workload_spec = workload_spec;
-        Ok(report)
+        let mut row = self.row(self.resolve_trace(), self.workload_provenance());
+        match chosen {
+            Chosen::None => row.inputs.trace().and(Err(SimError::NoScheduler)),
+            Chosen::Spec(spec) => row.report(&spec),
+            Chosen::Instance(mut scheduler) => {
+                let result = row.inputs.run_instance(scheduler.as_mut());
+                row.finish(None, result)
+            }
+        }
     }
 
     /// [`run_matrix`](Simulation::run_matrix), reported: one [`Report`]
@@ -643,88 +567,242 @@ impl<'a> Simulation<'a> {
         specs: &[SchedulerSpec],
     ) -> Result<Vec<Report>, SimError> {
         let trace = self.resolve_trace()?;
-        self.run_matrix_reports_on(&trace, specs).into_iter().collect()
-    }
-
-    /// The shared core of [`run_matrix_reports`](Simulation::run_matrix_reports)
-    /// and [`run_grid_reports`](Simulation::run_grid_reports): per-spec
-    /// typed results over an already-resolved trace.
-    fn run_matrix_reports_on(
-        &self,
-        trace: &Trace,
-        specs: &[SchedulerSpec],
-    ) -> Vec<Result<Report, SimError>> {
-        let metric_specs = self.effective_metrics();
-        let metric_registry = self.resolve_metrics();
-        let reference = if metric_registry.any_needs_reference(&metric_specs) {
-            match self.run_reference(trace) {
-                Ok(r) => Some(r),
-                Err(e) => return specs.iter().map(|_| Err(e.clone())).collect(),
-            }
-        } else {
-            None
-        };
-        let workload_spec = self.workload_provenance();
-        self.run_matrix_on(trace, specs)
+        self.row(Ok(trace), self.workload_provenance())
+            .reports(specs)
             .into_iter()
-            .zip(specs)
-            .map(|(result, spec)| {
-                let mut report = Report::evaluate(
-                    metric_registry,
-                    &metric_specs,
-                    trace,
-                    &result?,
-                    reference.as_ref(),
-                )?;
-                report.seed = self.seed;
-                report.scheduler_spec = Some(spec.clone());
-                report.workload_spec = workload_spec.clone();
-                Ok(report)
-            })
             .collect()
     }
 
     /// [`run_grid`](Simulation::run_grid), reported: the full
     /// `(workload × scheduler)` grid in row-major order, each cell a
-    /// typed [`Report`] (or the typed error that stopped it). Workloads
-    /// are built once per row; when a reference-based metric is chosen,
-    /// REF runs once per row and is shared by its cells.
+    /// typed [`Report`] (or the typed error that stopped it).
+    ///
+    /// Each workload is one [`ReportRow`]: its trace is built once (with
+    /// the session seed), and when a reference-based metric is chosen REF
+    /// runs at most once per row — a `ref` column takes that run as its
+    /// result instead of repeating it. The other scheduler columns fan
+    /// out over [`parallel_map`](crate::parallel::parallel_map).
     pub fn run_grid_reports(
         &self,
         workloads: &[WorkloadSpec],
         schedulers: &[SchedulerSpec],
     ) -> Vec<ReportCell> {
-        let ctx = WorkloadContext { seed: self.seed };
-        let registry = self.resolve_workloads();
         let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
         for wspec in workloads {
-            match registry.build(wspec, &ctx) {
-                Err(e) => {
-                    for sspec in schedulers {
-                        cells.push(ReportCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            report: Err(SimError::Workload(e.clone())),
-                        });
-                    }
-                }
-                Ok(trace) => {
-                    let row = self.run_matrix_reports_on(&trace, schedulers);
-                    for (sspec, report) in schedulers.iter().zip(row) {
-                        let report = report.map(|mut r| {
-                            r.workload_spec = Some(wspec.clone());
-                            r
-                        });
-                        cells.push(ReportCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            report,
-                        });
-                    }
-                }
+            let row = self.workload_row(wspec, self.seed).reports(schedulers);
+            for (sspec, report) in schedulers.iter().zip(row) {
+                cells.push(ReportCell {
+                    workload: wspec.clone(),
+                    scheduler: sspec.clone(),
+                    report,
+                });
             }
         }
         cells
+    }
+
+    /// Opens the [`ReportRow`] of `workload` built at `workload_seed`:
+    /// every cell of the row runs with this session's settings and seed.
+    /// A grid row passes the session seed; an experiment with decoupled
+    /// seed axes passes its own workload seed. A workload that fails to
+    /// build fails every cell of the row with the typed build error.
+    pub fn workload_row(
+        &self,
+        workload: &WorkloadSpec,
+        workload_seed: u64,
+    ) -> ReportRow<'a> {
+        let trace = self
+            .resolve_workloads()
+            .build(workload, &WorkloadContext { seed: workload_seed })
+            .map(Cow::Owned)
+            .map_err(SimError::Workload);
+        self.row(trace, Some(workload.clone()))
+    }
+
+    /// A report row over `trace` with this session's settings.
+    fn row(
+        &self,
+        trace: Result<Cow<'a, Trace>, SimError>,
+        workload: Option<WorkloadSpec>,
+    ) -> ReportRow<'a> {
+        let metric_registry = self.resolve_metrics();
+        let metrics = self.effective_metrics();
+        ReportRow {
+            inputs: RowInputs {
+                needs_reference: metric_registry.any_needs_reference(&metrics),
+                registry: self.resolve_registry(),
+                metric_registry,
+                metrics,
+                horizon: self.horizon,
+                validate: self.validate,
+                seed: self.seed,
+                trace,
+                workload,
+            },
+            reference: None,
+        }
+    }
+}
+
+/// Whether `spec` is the bare exact reference scheduler, REF.
+fn is_reference(spec: &SchedulerSpec) -> bool {
+    spec.name() == "ref" && spec.params().next().is_none()
+}
+
+/// One row of a report grid: the cells that share a trace and every run
+/// setting (registries, metrics, horizon, validation, seed) and differ
+/// only in their scheduler.
+///
+/// A row owns its resolved trace and runs the exact REF reference at
+/// most once, on first need:
+///
+/// * REF runs only after the first successful scheduler run of a cell
+///   whose metrics need a reference, so a cell reports its scheduler's
+///   error before the reference's;
+/// * a bare `ref` column takes the reference as its result instead of
+///   running REF again — it is the same registry, trace, horizon and
+///   validation, and the `ref` factory ignores the seed;
+/// * the first `ref` column to run fills the reference.
+///
+/// Every run method of [`Simulation`] and the experiment runner go
+/// through rows; open one with [`Simulation::workload_row`].
+pub struct ReportRow<'a> {
+    inputs: RowInputs<'a>,
+    /// The REF run, once something needed it.
+    reference: Option<Result<SimResult, SimError>>,
+}
+
+/// Everything a row's cells share (split from the reference slot so a
+/// borrowed reference and the inputs can be used together).
+struct RowInputs<'a> {
+    registry: &'a Registry,
+    metric_registry: &'a MetricRegistry,
+    metrics: Vec<MetricSpec>,
+    needs_reference: bool,
+    horizon: Option<Time>,
+    validate: bool,
+    seed: u64,
+    trace: Result<Cow<'a, Trace>, SimError>,
+    workload: Option<WorkloadSpec>,
+}
+
+impl RowInputs<'_> {
+    fn trace(&self) -> Result<&Trace, SimError> {
+        self.trace.as_deref().map_err(Clone::clone)
+    }
+
+    /// Builds `spec` through the registry and runs it over the trace.
+    fn run(&self, spec: &SchedulerSpec) -> Result<SimResult, SimError> {
+        let trace = self.trace()?;
+        let ctx = BuildContext { trace, seed: self.seed };
+        self.run_instance(self.registry.build(spec, &ctx)?.as_mut())
+    }
+
+    /// Runs `scheduler` over the trace; the horizon defaults to the
+    /// trace's completion horizon (run to completion).
+    fn run_instance(&self, scheduler: &mut dyn Scheduler) -> Result<SimResult, SimError> {
+        let trace = self.trace()?;
+        let options = SimOptions {
+            horizon: self.horizon.unwrap_or_else(|| trace.completion_horizon()),
+            validate: self.validate,
+        };
+        run_scheduler(trace, scheduler, options)
+    }
+
+    /// The row's REF run from `slot`, running it on first use.
+    fn reference<'r>(
+        &self,
+        slot: &'r mut Option<Result<SimResult, SimError>>,
+    ) -> Result<&'r SimResult, SimError> {
+        slot.get_or_insert_with(|| self.run(&SchedulerSpec::bare("ref")))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn evaluate(
+        &self,
+        scheduler: Option<&SchedulerSpec>,
+        result: &SimResult,
+        reference: Option<&SimResult>,
+    ) -> Result<Report, SimError> {
+        let mut report = Report::evaluate(
+            self.metric_registry,
+            &self.metrics,
+            self.trace()?,
+            result,
+            reference,
+        )?;
+        report.seed = self.seed;
+        report.scheduler_spec = scheduler.cloned();
+        report.workload_spec = self.workload.clone();
+        Ok(report)
+    }
+}
+
+impl ReportRow<'_> {
+    /// Runs `spec` over the row's trace and measures it with the row's
+    /// metrics. A bare `ref` spec is measured on the row's reference run.
+    pub fn report(&mut self, spec: &SchedulerSpec) -> Result<Report, SimError> {
+        if is_reference(spec) {
+            let reference = self.inputs.reference(&mut self.reference)?;
+            return self.inputs.evaluate(Some(spec), reference, Some(reference));
+        }
+        let result = self.inputs.run(spec);
+        self.finish(Some(spec), result)
+    }
+
+    /// Measures one scheduler run of the row, pulling in the reference
+    /// only when the run succeeded and the metrics need it.
+    fn finish(
+        &mut self,
+        scheduler: Option<&SchedulerSpec>,
+        result: Result<SimResult, SimError>,
+    ) -> Result<Report, SimError> {
+        let result = result?;
+        let reference = if self.inputs.needs_reference {
+            Some(self.inputs.reference(&mut self.reference)?)
+        } else {
+            None
+        };
+        self.inputs.evaluate(scheduler, &result, reference)
+    }
+
+    /// One plain run per spec, in spec order, fanned out over
+    /// [`parallel_map`](crate::parallel::parallel_map): each run is
+    /// seeded as in a serial loop, so the results equal one.
+    fn runs(&self, specs: &[SchedulerSpec]) -> Vec<Result<SimResult, SimError>> {
+        let inputs = &self.inputs;
+        crate::parallel::parallel_map(specs.iter().collect(), |spec| inputs.run(spec))
+    }
+
+    /// [`report`](Self::report) for every spec, in spec order. The
+    /// non-reference runs fan out over
+    /// [`parallel_map`](crate::parallel::parallel_map); the reference
+    /// and its measurements follow on this thread, in spec order, so the
+    /// outcome equals a serial loop of `report` calls.
+    fn reports(&mut self, specs: &[SchedulerSpec]) -> Vec<Result<Report, SimError>> {
+        let inputs = &self.inputs;
+        let runs = crate::parallel::parallel_map(specs.iter().collect(), |spec| {
+            (!is_reference(spec)).then(|| inputs.run(spec))
+        });
+        specs
+            .iter()
+            .zip(runs)
+            .map(|(spec, run)| match run {
+                Some(result) => self.finish(Some(spec), result),
+                None => self.report(spec),
+            })
+            .collect()
+    }
+}
+
+impl fmt::Debug for ReportRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReportRow")
+            .field("workload", &self.inputs.workload)
+            .field("seed", &self.inputs.seed)
+            .field("reference", &self.reference.as_ref().map(Result::is_ok))
+            .finish()
     }
 }
 
@@ -785,6 +863,7 @@ impl fmt::Debug for Simulation<'_> {
 mod tests {
     use super::*;
     use fairsched_core::scheduler::FifoScheduler;
+    use fairsched_workloads::spec::WorkloadRegistry;
 
     fn small_trace() -> Trace {
         let mut b = Trace::builder();
@@ -1319,6 +1398,139 @@ mod tests {
             assert_eq!(s.aggregate.len(), s.times.len());
             assert!(s.times.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// A `ref` factory that counts its builds (each build is one REF run).
+    struct CountingRef(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl fairsched_core::scheduler::registry::SchedulerFactory for CountingRef {
+        fn name(&self) -> &str {
+            "ref"
+        }
+
+        fn summary(&self) -> &str {
+            "REF, counting its builds"
+        }
+
+        fn build(
+            &self,
+            _: &SchedulerSpec,
+            ctx: &BuildContext<'_>,
+        ) -> Result<Box<dyn Scheduler>, SpecError> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(Box::new(fairsched_core::scheduler::RefScheduler::new(ctx.trace)))
+        }
+    }
+
+    /// A report row runs REF at most once — a `ref` column is its own
+    /// reference — and its reports equal `Report::evaluate` over
+    /// independently run schedulers, byte for byte.
+    #[test]
+    fn report_rows_build_ref_at_most_once() {
+        use std::sync::atomic::Ordering;
+        let builds = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut registry = Registry::default();
+        registry.register(Box::new(CountingRef(builds.clone())));
+        let trace = WorkloadRegistry::shared()
+            .build_str("fpt:k=3", &WorkloadContext { seed: 5 })
+            .unwrap();
+        let options = SimOptions { horizon: 300, validate: true };
+        let solo = |spec: &str| {
+            let ctx = BuildContext { trace: &trace, seed: 5 };
+            let mut scheduler = Registry::shared().build_str(spec, &ctx).unwrap();
+            run_scheduler(&trace, scheduler.as_mut(), options).unwrap()
+        };
+        let reference = solo("ref");
+        let expected = |spec: &str, metrics: &[&str]| {
+            let metrics: Vec<MetricSpec> =
+                metrics.iter().map(|m| m.parse().unwrap()).collect();
+            let registry = MetricRegistry::shared();
+            let reference = registry.any_needs_reference(&metrics).then_some(&reference);
+            let mut report =
+                Report::evaluate(registry, &metrics, &trace, &solo(spec), reference)
+                    .unwrap();
+            report.seed = 5;
+            report.scheduler_spec = Some(spec.parse().unwrap());
+            report.to_json()
+        };
+        let session = |metrics: &[&str]| {
+            Simulation::new(&trace)
+                .registry(&registry)
+                .horizon(300)
+                .validate(true)
+                .seed(5)
+                .metrics(metrics)
+                .unwrap()
+        };
+        let columns = ["fifo", "ref", "fairshare"];
+        let specs: Vec<SchedulerSpec> =
+            columns.iter().map(|s| s.parse().unwrap()).collect();
+        let count = || builds.swap(0, Ordering::SeqCst);
+
+        let report = session(&["delay"]).scheduler("ref").unwrap().run_report().unwrap();
+        assert_eq!(count(), 1, "run_report(ref) with delay");
+        assert_eq!(report.to_json(), expected("ref", &["delay"]));
+
+        for metrics in [&["delay", "psi"][..], &["psi"]] {
+            let reports = session(metrics).run_matrix_reports(&specs).unwrap();
+            assert_eq!(count(), 1, "run_matrix_reports with {metrics:?}");
+            for (column, report) in columns.iter().zip(&reports) {
+                assert_eq!(report.to_json(), expected(column, metrics), "{column}");
+            }
+        }
+        let no_ref = [specs[0].clone(), specs[2].clone()];
+        session(&["psi"]).run_matrix_reports(&no_ref).unwrap();
+        assert_eq!(count(), 0, "psi without a ref column needs no REF");
+
+        // A grid runs REF once per row.
+        let cells = Simulation::session()
+            .registry(&registry)
+            .horizon(300)
+            .seed(5)
+            .metrics(&["delay"])
+            .unwrap()
+            .run_grid_reports(
+                &["fpt:k=2".parse().unwrap(), "fpt:k=3".parse().unwrap()],
+                &specs,
+            );
+        assert_eq!(count(), 2, "one REF run per grid row");
+        assert!(cells.iter().all(|cell| cell.report.is_ok()));
+    }
+
+    /// A cell reports its scheduler's error before the reference's, and a
+    /// row whose reference fails still reports its reference-free cells.
+    #[test]
+    fn report_row_errors_keep_their_precedence() {
+        let mut b = Trace::builder();
+        for i in 0..17 {
+            let org = b.org(format!("o{i}"), 1);
+            b.job(org, 0, 2);
+        }
+        let trace = b.build().unwrap();
+        let specs: Vec<SchedulerSpec> =
+            ["warpdrive", "fifo", "ref"].iter().map(|s| s.parse().unwrap()).collect();
+        let run = |metrics: &[&str]| {
+            Simulation::new(&trace)
+                .horizon(20)
+                .metrics(metrics)
+                .unwrap()
+                .row(Ok(Cow::Borrowed(&trace)), None)
+                .reports(&specs)
+        };
+        let too_many = |r: &Result<Report, SimError>| {
+            matches!(
+                r,
+                Err(SimError::Spec(SpecError::TooManyOrgs { orgs: 17, max: 16, .. }))
+            )
+        };
+        let delay = run(&["delay", "psi"]);
+        assert!(matches!(
+            delay[0],
+            Err(SimError::Spec(SpecError::UnknownScheduler { .. }))
+        ));
+        assert!(too_many(&delay[1]) && too_many(&delay[2]), "{delay:?}");
+        let psi = run(&["psi"]);
+        assert!(psi[1].is_ok() && too_many(&psi[2]), "{psi:?}");
     }
 
     #[test]

@@ -224,6 +224,41 @@ fn coupled_seed_runner_matches_run_grid_reports_byte_for_byte() {
 }
 
 #[test]
+fn row_reuse_commits_the_same_reports_as_compute_cell() {
+    // The runner computes a row's trace and REF reference once and lets
+    // its `ref` column take that reference; every committed cell must
+    // still decode to the report `compute_cell` gives for its key alone,
+    // with coupled and with decoupled seed axes.
+    for (tag, workload_stride, scheduler_stride) in
+        [("coupled", 1, 1), ("decoupled", 5, 2)]
+    {
+        let mut spec = sweep_spec(&format!("row-reuse-{tag}"));
+        spec.schedulers = vec![
+            "fifo".parse().unwrap(),
+            "ref".parse().unwrap(),
+            "fairshare".parse().unwrap(),
+        ];
+        spec.seeds = SeedPlan { base: 3, count: 2, workload_stride, scheduler_stride };
+        let dir = fresh_dir(&format!("row-reuse-{tag}"));
+        let summary =
+            Runner::new(spec.clone(), &dir, RunnerOptions::default()).run().unwrap();
+        assert_eq!((summary.computed, summary.failed), (12, 0), "{tag}");
+        for key in cell_keys(&spec) {
+            let text =
+                std::fs::read_to_string(dir.join("cells").join(key.file_name())).unwrap();
+            let stored = decode_cell(&serde_json::parse_value(&text).unwrap()).unwrap();
+            assert_eq!(
+                stored.report.unwrap().to_json(),
+                compute_cell(&key).unwrap().to_json(),
+                "{tag}: {}",
+                key.canonical()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn decoupled_seed_strides_pin_each_axis_independently() {
     // With workload_stride=0 both instances build the *same* trace while
     // the scheduler seed moves; a seed-sensitive scheduler (rand) must

@@ -186,3 +186,24 @@ fn zero_timeline_samples_is_a_typed_error() {
         "unexpected error output: {stderr}"
     );
 }
+
+/// A trace past REF's organization cap fails the automatic reference run
+/// with the typed capacity error instead of a panic (exit 101).
+#[test]
+fn ref_capacity_is_a_typed_error() {
+    let output = Command::new(env!("CARGO_BIN_EXE_fairsched"))
+        .args([
+            "--workload",
+            "synth:orgs=20,preset=ricc,scale=0.2",
+            "--scheduler",
+            "fifo",
+        ])
+        .output()
+        .expect("fairsched binary runs");
+    assert_eq!(output.status.code(), Some(1), "expected a typed failure");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("supports at most 16 organizations, the trace has 20"),
+        "unexpected error output: {stderr}"
+    );
+}
