@@ -1,8 +1,8 @@
 //! `panic-free`: no panic sites in non-test library code.
 //!
 //! The library crates (`core`, `sim`, `workloads`, `bench`) promise typed
-//! errors — PR 6 converted the last engine-contract panics in the
-//! `simulate*` wrappers to [`SimError`] — so a `panic!`, `.unwrap()`,
+//! errors — the engine reports contract violations as [`SimError`]s — so
+//! a `panic!`, `.unwrap()`,
 //! `.expect(...)`, `unreachable!`, `todo!`, or `unimplemented!` in
 //! library code is either a bug or a deliberate, *documented* invariant.
 //! Deliberate sites carry an inline `lint:allow(panic-free)` comment or a

@@ -1,6 +1,6 @@
 //! Ablation of the **within-time-step utility bump** — the one documented
 //! deviation our implementation makes from the published pseudo-code
-//! (DESIGN.md §2): when several machines free in the same discrete time
+//! (docs/DESIGN.md §2): when several machines free in the same discrete time
 //! moment, `ψ_sp` cannot see jobs started *in* that moment, so without a
 //! one-unit bump the top-surplus organization monopolizes the whole batch
 //! of machines.
@@ -14,10 +14,10 @@
 //! Flags: --instances N --orgs K --scale F --horizon T --seed S
 
 use fairsched_bench::cli::Cli;
-use fairsched_bench::parallel::parallel_map;
 use fairsched_core::fairness::FairnessReport;
 use fairsched_core::scheduler::{DirectContrScheduler, RefScheduler, Scheduler};
 use fairsched_core::Trace;
+use fairsched_sim::parallel::parallel_map;
 use fairsched_sim::Simulation;
 use fairsched_workloads::{
     generate, preset, to_trace, MachineSplit, PresetName, SynthConfig,

@@ -13,8 +13,8 @@
 //! Flags: --orgs K --instances N --machines M --horizon T --seed S
 
 use fairsched_bench::cli::Cli;
-use fairsched_bench::parallel::parallel_map;
 use fairsched_core::scheduler::SchedulerSpec;
+use fairsched_sim::parallel::parallel_map;
 use fairsched_sim::Simulation;
 use fairsched_workloads::{to_trace, MachineSplit, SynthConfig};
 

@@ -1,5 +1,5 @@
 //! A minimal `--key value` / `--flag` argument parser for the experiment
-//! binaries (kept dependency-free on purpose; see DESIGN.md §6).
+//! binaries (kept dependency-free on purpose; see docs/DESIGN.md §6).
 
 use std::collections::{HashMap, HashSet};
 

@@ -22,7 +22,6 @@
 pub mod baseline;
 pub mod cli;
 pub mod experiments;
-pub mod parallel;
 pub mod runner;
 pub mod trajectory;
 

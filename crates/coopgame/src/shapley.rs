@@ -76,7 +76,7 @@ pub fn shapley_from_table(n: usize, table: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `n > 24`, or on `i128` overflow in debug builds (the
-/// fair-scheduling utilities fit comfortably; see DESIGN.md §2).
+/// fair-scheduling utilities fit comfortably; see docs/DESIGN.md §2).
 pub fn shapley_exact_scaled(n: usize, mut v: impl FnMut(Coalition) -> i128) -> Vec<i128> {
     assert!(n <= 24, "exact Shapley supports at most 24 players");
     if n == 0 {

@@ -102,7 +102,7 @@ pub fn count_small_subsets(s: &[u64], x: u64) -> u128 {
 /// assumption* that organization `b` wins the selection at `t = 2x+4` in
 /// every coalition containing it.
 ///
-/// **Reproduction finding** (documented in DESIGN.md / EXPERIMENTS.md):
+/// **Reproduction finding** (documented in docs/DESIGN.md §2):
 /// that prioritization claim is not robust. Under the literal REF rule the
 /// waiting fourth jobs of the set organizations can outrank `b`'s large
 /// job at `t = 2x+4`, delaying it and making `a`'s marginal contribution

@@ -8,7 +8,7 @@
 //! largest contribution-minus-utility surplus goes first — the same
 //! `argmax (φ − ψ)` selection rule as REF, with the heuristic `φ`.
 //!
-//! Deviation note (documented in DESIGN.md): the published pseudo-code
+//! Deviation note (documented in docs/DESIGN.md §2): the published pseudo-code
 //! swaps `φ[own(J)]`/`ψ[own(m)]` relative to the prose; we follow the prose
 //! ("the job that is started on processor m increases the contribution of
 //! the owner of m by the utility of this job"). Instead of the incremental
@@ -57,7 +57,7 @@ impl DirectContrScheduler {
     }
 
     /// Disables the within-time-step bumps (Figure 9's `finUt/finCon += 1`
-    /// on start) — the ablation of DESIGN.md §2.
+    /// on start) — the ablation of docs/DESIGN.md §2.
     pub fn without_step_bumps(mut self) -> Self {
         self.bumps_enabled = false;
         self

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! where `Δψ` is the utility gain of tentatively starting `u`'s head job
-//! now. Two conventions, both documented in DESIGN.md §2:
+//! now. Two conventions, both documented in docs/DESIGN.md §2:
 //!
 //! * `Δψ` is evaluated **one step ahead** (`t+1`) with one observed unit of
 //!   the tentative job — at `t` itself a just-started job has executed

@@ -76,7 +76,7 @@
 //!
 //! Sub-simulations require job durations (to know when hypothetical copies
 //! of a job complete). This is the execution-oracle boundary discussed in
-//! DESIGN.md: REF/RAND are offline fairness benchmarks; information is used
+//! docs/DESIGN.md §2: REF/RAND are offline fairness benchmarks; information is used
 //! causally (a duration is consumed only when the hypothetical job
 //! completes, at a time ≤ the current decision time).
 

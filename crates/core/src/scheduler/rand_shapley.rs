@@ -12,7 +12,7 @@
 //!
 //! For general job sizes RAND is a heuristic (the paper evaluates it with
 //! `N = 15` and `N = 75`): sampled coalitions are scheduled greedy-FIFO,
-//! a fixed documented choice (DESIGN.md).
+//! a fixed documented choice (docs/DESIGN.md §2).
 
 use super::lattice::{CoalitionLattice, Policy};
 use super::{OrgPicker, Scheduler, SelectContext, StepBumps};

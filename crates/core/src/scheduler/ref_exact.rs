@@ -14,7 +14,7 @@
 //! *benchmark* of the paper (Corollary 3.5).
 //!
 //! REF needs job durations to run its hypothetical sub-schedules — the
-//! execution-oracle boundary documented in DESIGN.md. Construct it with
+//! execution-oracle boundary documented in docs/DESIGN.md §2. Construct it with
 //! [`RefScheduler::new`] from the trace the engine will replay.
 
 use super::lattice::CoalitionLattice;
@@ -64,7 +64,7 @@ impl RefScheduler {
     }
 
     /// Disables the within-time-step utility bumps (see
-    /// [`StepBumps`]) — the ablation of DESIGN.md §2's one-step-ahead
+    /// [`StepBumps`]) — the ablation of docs/DESIGN.md §2's one-step-ahead
     /// marginal: without bumps, an organization with the top surplus
     /// monopolizes every machine freed in the same time moment.
     pub fn without_step_bumps(mut self) -> Self {

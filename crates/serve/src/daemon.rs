@@ -224,7 +224,7 @@ impl Daemon {
             // Older snapshots lack the flag; a missing field means a
             // still-running daemon wrote them.
             let stopped = matches!(v.get("stopped"), Some(Value::Bool(true)));
-            (SimSession::restore(&session_value.to_json())?, applied_seq, stopped)
+            (SimSession::restore_value(session_value)?, applied_seq, stopped)
         } else {
             (
                 SimSession::from_workload(
@@ -366,13 +366,11 @@ impl Daemon {
 
     /// Atomically writes `snapshot.json` covering the journal position.
     pub fn persist(&self) -> Result<(), ServeError> {
-        let session = serde_json::parse_value(&self.session.snapshot())
-            .map_err(|e| ServeError::Render { message: e.to_string() })?;
         let snapshot = Value::Object(vec![
             ("schema".to_string(), Value::String(SNAPSHOT_SCHEMA.to_string())),
             ("applied_seq".to_string(), self.applied_seq.to_value()),
             ("stopped".to_string(), Value::Bool(self.stopped)),
-            ("session".to_string(), session),
+            ("session".to_string(), self.session.snapshot_value()),
         ]);
         atomic_write(&self.dir.join("snapshot.json"), &snapshot.to_json_pretty())?;
         Ok(())

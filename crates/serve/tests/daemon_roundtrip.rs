@@ -211,6 +211,58 @@ fn reopened_stopped_directory_is_still_stopped() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `snapshot.json` embeds the session's snapshot tree directly; it must
+/// stay byte-identical to the earlier render → parse → pretty-render of
+/// `SimSession::snapshot()`, and reopening from it must restore the same
+/// session.
+#[test]
+fn snapshot_file_matches_the_rendered_and_reparsed_session() {
+    use fairsched_serve::SNAPSHOT_SCHEMA;
+    use serde::{Serialize, Value};
+
+    let dir = temp_dir("snapshot-bytes");
+    config("ref").init(&dir).unwrap();
+    let queue = SubmissionQueue::open(&dir).unwrap();
+    let mut daemon = Daemon::open(&dir).unwrap();
+    let drains = [
+        vec![Message::Advance { until: 10 }],
+        vec![
+            Message::Submit { org: 0, release: 15, proc_time: 5, deadline: None },
+            Message::Advance { until: 30 },
+        ],
+        vec![
+            Message::Submit { org: 1, release: 40, proc_time: 6, deadline: Some(80) },
+            Message::Advance { until: 50 },
+        ],
+    ];
+    for batch in &drains {
+        for msg in batch {
+            queue.submit(msg).unwrap();
+        }
+        assert_eq!(daemon.drain().unwrap(), batch.len());
+        let session = serde_json::parse_value(&daemon.session().snapshot()).unwrap();
+        let old = Value::Object(vec![
+            ("schema".to_string(), Value::String(SNAPSHOT_SCHEMA.to_string())),
+            ("applied_seq".to_string(), daemon.applied_seq().to_value()),
+            ("stopped".to_string(), Value::Bool(daemon.stopped())),
+            ("session".to_string(), session),
+        ])
+        .to_json_pretty();
+        let written = std::fs::read_to_string(dir.join("snapshot.json")).unwrap();
+        assert_eq!(
+            written,
+            old,
+            "snapshot.json drifted after seq {}",
+            daemon.applied_seq()
+        );
+    }
+    let reopened = Daemon::open(&dir).unwrap();
+    assert_eq!(reopened.applied_seq(), daemon.applied_seq());
+    assert_eq!(reopened.session().snapshot(), daemon.session().snapshot());
+    assert_eq!(reopened.session().schedule(), daemon.session().schedule());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The HTTP endpoint serves live documents that track the session.
 #[test]
 fn http_endpoints_track_the_session() {

@@ -31,11 +31,6 @@
 //! assert!(result.utilization > 0.0);
 //! # Ok::<(), fairsched_sim::SimError>(())
 //! ```
-//!
-//! The pre-session entry points [`simulate`] / [`simulate_with_options`]
-//! remain for code that already holds a `&mut dyn Scheduler`; they are
-//! thin wrappers over [`run_scheduler`] and report engine-contract
-//! violations as the same typed [`SimError`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,12 +46,10 @@ pub mod session;
 pub mod stepper;
 
 pub use cluster::Cluster;
-pub use engine::{run_scheduler, simulate, simulate_with_options, SimOptions, SimResult};
+pub use engine::{run_scheduler, SimOptions, SimResult};
 pub use report::{
     MetricColumn, MetricContext, MetricError, MetricFactory, MetricOutput,
     MetricRegistry, MetricSpec, MetricValue, Report, TimeSeriesColumn,
 };
-pub use session::{
-    GridCell, ReportCell, ReportRow, SimError, Simulation, DEFAULT_REPORT_METRICS,
-};
+pub use session::{ReportCell, ReportRow, SimError, Simulation, DEFAULT_REPORT_METRICS};
 pub use stepper::{Admission, SimSession, SNAPSHOT_SCHEMA};

@@ -72,6 +72,7 @@ pub fn units_upper_bound(trace: &Trace, n_machines: usize, horizon: Time) -> Tim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_scheduler, SimOptions};
     use fairsched_core::model::Trace;
     use fairsched_core::scheduler::FifoScheduler;
 
@@ -81,8 +82,12 @@ mod tests {
         let c = b.org("b", 1);
         b.job(a, 0, 4).job(c, 1, 2);
         let trace = b.build().unwrap();
-        let r =
-            crate::simulate(&trace, &mut FifoScheduler::new(), 100).expect("valid run");
+        let r = run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            SimOptions { horizon: 100, validate: false },
+        )
+        .expect("valid run");
         (trace, r.schedule)
     }
 

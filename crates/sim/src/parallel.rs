@@ -4,10 +4,8 @@
 //! [`Simulation::run_matrix`](crate::Simulation::run_matrix) cell and every
 //! experiment instance (one seeded workload × all schedulers) is
 //! independent — and a chunked scoped-thread map keeps the dependency
-//! footprint minimal (DESIGN.md §6 explains why not rayon). This module
-//! used to live in `fairsched-bench`; it moved here so the session API can
-//! fan out without a dependency cycle (`fairsched_bench::parallel`
-//! re-exports it for compatibility).
+//! footprint minimal (docs/DESIGN.md §6 explains why not rayon). It lives
+//! here, below the bench harness, so the session API can fan out too.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,13 +1,9 @@
 //! The `Simulation` session API: one fluent, fallible entry point for
 //! running any registered scheduler over any registered workload.
 //!
-//! The historical entry points ([`simulate`](crate::simulate),
-//! [`simulate_with_options`](crate::simulate_with_options)) take an
-//! already-constructed `&mut dyn Scheduler`.
-//! [`Simulation`] replaces both concerns: schedulers are named by
-//! [`SchedulerSpec`] strings resolved through a [`Registry`], workloads by
-//! [`WorkloadSpec`] strings resolved through a [`WorkloadRegistry`], and
-//! every failure — malformed spec, unknown scheduler or workload, invalid
+//! Schedulers are named by [`SchedulerSpec`] strings resolved through a
+//! [`Registry`], workloads by [`WorkloadSpec`] strings resolved through a
+//! [`WorkloadRegistry`], and every failure — malformed spec, unknown scheduler or workload, invalid
 //! trace, scheduler contract violations — surfaces as a typed
 //! [`SimError`].
 //!
@@ -45,12 +41,12 @@
 //!     .run()?;
 //! assert!(result.completed_jobs > 0);
 //!
-//! let grid = Simulation::session().horizon(500).seed(3).run_grid(
+//! let grid = Simulation::session().horizon(500).seed(3).run_grid_reports(
 //!     &["fpt:k=2".parse()?, "fpt:k=3".parse()?],
 //!     &["fifo".parse()?, "roundrobin".parse()?],
 //! );
 //! assert_eq!(grid.len(), 4);
-//! assert!(grid.iter().all(|cell| cell.result.is_ok()));
+//! assert!(grid.iter().all(|cell| cell.report.is_ok()));
 //! # Ok::<(), fairsched_sim::SimError>(())
 //! ```
 
@@ -252,8 +248,9 @@ enum Chosen {
 /// Where the session's trace comes from.
 enum Source<'a> {
     /// Nothing chosen yet (only valid on a [`Simulation::session`]
-    /// template that is used for [`run_grid`](Simulation::run_grid) or
-    /// completed with [`workload`](Simulation::workload)).
+    /// template that is used for
+    /// [`run_grid_reports`](Simulation::run_grid_reports) or completed
+    /// with [`workload`](Simulation::workload)).
     None,
     /// A caller-owned trace.
     Trace(&'a Trace),
@@ -291,8 +288,8 @@ impl Simulation<'static> {
     /// A settings-only session template with no trace or workload chosen
     /// yet: complete it with [`workload`](Simulation::workload) /
     /// [`workload_spec`](Simulation::workload_spec), or use it directly
-    /// for [`run_grid`](Simulation::run_grid), which supplies its own
-    /// workload axis.
+    /// for [`run_grid_reports`](Simulation::run_grid_reports), which
+    /// supplies its own workload axis.
     pub fn session() -> Self {
         Simulation {
             source: Source::None,
@@ -508,37 +505,6 @@ impl<'a> Simulation<'a> {
         self.row(Ok(trace), None).runs(specs).into_iter().collect()
     }
 
-    /// Runs the full `(workload × scheduler)` spec grid with this
-    /// session's settings — a whole experiment matrix as pure data. Cells
-    /// come back in row-major order (all schedulers of `workloads[0]`,
-    /// then `workloads[1]`, …), each carrying its own typed
-    /// `Result`: a workload that fails to build fails *its row's* cells
-    /// and the grid continues, so one bad spec cannot take down a sweep.
-    ///
-    /// Each workload is built once (with the session seed) and shared by
-    /// its row; scheduler cells fan out over
-    /// [`parallel_map`](crate::parallel::parallel_map) exactly as in
-    /// [`run_matrix`](Simulation::run_matrix), so results are identical to
-    /// the serial double loop.
-    pub fn run_grid(
-        &self,
-        workloads: &[WorkloadSpec],
-        schedulers: &[SchedulerSpec],
-    ) -> Vec<GridCell> {
-        let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
-        for wspec in workloads {
-            let row = self.workload_row(wspec, self.seed).runs(schedulers);
-            for (sspec, result) in schedulers.iter().zip(row) {
-                cells.push(GridCell {
-                    workload: wspec.clone(),
-                    scheduler: sspec.clone(),
-                    result,
-                });
-            }
-        }
-        cells
-    }
-
     /// Runs the session and measures it: like [`run`](Simulation::run),
     /// but the outcome is a typed [`Report`] evaluating the session's
     /// metric specs (set with [`metrics`](Simulation::metrics); default
@@ -573,9 +539,13 @@ impl<'a> Simulation<'a> {
             .collect()
     }
 
-    /// [`run_grid`](Simulation::run_grid), reported: the full
-    /// `(workload × scheduler)` grid in row-major order, each cell a
-    /// typed [`Report`] (or the typed error that stopped it).
+    /// Runs the full `(workload × scheduler)` spec grid with this
+    /// session's settings — a whole experiment matrix as pure data. Cells
+    /// come back in row-major order (all schedulers of `workloads[0]`,
+    /// then `workloads[1]`, …), each a typed [`Report`] or the typed
+    /// error that stopped it: a workload that fails to build fails *its
+    /// row's* cells and the grid continues, so one bad spec cannot take
+    /// down a sweep.
     ///
     /// Each workload is one [`ReportRow`]: its trace is built once (with
     /// the session seed), and when a reference-based metric is chosen REF
@@ -817,18 +787,6 @@ pub struct ReportCell {
     /// The measured outcome; errors are per-cell, the grid always
     /// completes.
     pub report: Result<Report, SimError>,
-}
-
-/// One cell of a [`Simulation::run_grid`] sweep: which workload × which
-/// scheduler, and the typed outcome.
-#[derive(Debug)]
-pub struct GridCell {
-    /// The workload axis value.
-    pub workload: WorkloadSpec,
-    /// The scheduler axis value.
-    pub scheduler: SchedulerSpec,
-    /// The run's outcome; errors are per-cell, the grid always completes.
-    pub result: Result<SimResult, SimError>,
 }
 
 impl fmt::Debug for Simulation<'_> {
@@ -1109,10 +1067,12 @@ mod tests {
         assert_eq!(results[2].scheduler, "Rand(N=5)");
     }
 
-    /// The grid must equal the serial double loop cell for cell: same
-    /// row-major order, same schedules, same ψ vectors.
+    /// The grid must equal a serial `run_report` loop cell for cell: same
+    /// row-major order, same reports (the default metrics carry every
+    /// organization's ψ, completions, flow and waiting time, so a
+    /// diverging schedule shows), same provenance.
     #[test]
-    fn run_grid_matches_serial_double_loop() {
+    fn run_grid_reports_match_serial_run_report_loop() {
         use fairsched_workloads::spec::WorkloadRegistry;
         let workloads: Vec<WorkloadSpec> = ["fpt:k=2", "fpt:horizon=500,k=3"]
             .iter()
@@ -1126,7 +1086,7 @@ mod tests {
             .horizon(400)
             .validate(true)
             .seed(11)
-            .run_grid(&workloads, &schedulers);
+            .run_grid_reports(&workloads, &schedulers);
         assert_eq!(grid.len(), 6);
         let mut i = 0;
         for wspec in &workloads {
@@ -1137,75 +1097,55 @@ mod tests {
                 let cell = &grid[i];
                 assert_eq!(&cell.workload, wspec, "row-major order broken at {i}");
                 assert_eq!(&cell.scheduler, sspec, "row-major order broken at {i}");
-                let serial = Simulation::new(&trace)
+                let mut serial = Simulation::new(&trace)
                     .scheduler_spec(sspec.clone())
                     .horizon(400)
                     .validate(true)
                     .seed(11)
-                    .run()
+                    .run_report()
                     .unwrap();
-                let cell_result = cell.result.as_ref().unwrap();
-                assert_eq!(cell_result.schedule, serial.schedule, "cell {i} diverged");
-                assert_eq!(cell_result.psi, serial.psi, "ψ diverged at cell {i}");
+                serial.workload_spec = Some(wspec.clone());
+                let cell_report = cell.report.as_ref().unwrap();
+                assert_eq!(cell_report.to_json(), serial.to_json(), "cell {i} diverged");
                 i += 1;
             }
         }
     }
 
-    /// One invalid workload spec fails its own row's cells with a typed
-    /// error; the rest of the grid still runs.
-    #[test]
-    fn run_grid_collects_typed_errors_and_continues() {
-        let workloads: Vec<WorkloadSpec> = ["fpt:k=2", "fpt:k=0", "fpt:k=3"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let schedulers: Vec<SchedulerSpec> =
-            ["fifo", "roundrobin"].iter().map(|s| s.parse().unwrap()).collect();
-        let grid =
-            Simulation::session().horizon(300).seed(5).run_grid(&workloads, &schedulers);
-        assert_eq!(grid.len(), 6);
-        for cell in &grid {
-            if cell.workload.to_string() == "fpt:k=0" {
-                assert!(
-                    matches!(
-                        cell.result,
-                        Err(SimError::Workload(WorkloadError::BadParam { .. }))
-                    ),
-                    "bad workload row must carry the typed build error"
-                );
-            } else {
-                assert!(
-                    cell.result.is_ok(),
-                    "healthy rows must survive a bad workload in the grid"
-                );
-            }
-        }
-        // Bad *scheduler* specs likewise fail per cell, not the grid.
-        let grid = Simulation::session().horizon(300).seed(5).run_grid(
-            &["fpt:k=2".parse().unwrap()],
-            &["fifo".parse().unwrap(), "warpdrive".parse().unwrap()],
-        );
-        assert!(grid[0].result.is_ok());
-        assert!(matches!(
-            grid[1].result,
-            Err(SimError::Spec(SpecError::UnknownScheduler { .. }))
-        ));
-    }
-
+    /// The session seed is the workload seed of every grid row: the same
+    /// seed rebuilds the same trace, and a different one a different
+    /// trace (`fifo` ignores the seed, so only the workload can differ).
     #[test]
     fn grid_seed_flows_into_workload_builds() {
-        let workloads: Vec<WorkloadSpec> = vec!["fpt:k=2".parse().unwrap()];
-        let schedulers: Vec<SchedulerSpec> = vec!["fifo".parse().unwrap()];
-        let run = |seed| {
-            let mut grid = Simulation::session()
-                .horizon(300)
-                .seed(seed)
-                .run_grid(&workloads, &schedulers);
-            grid.remove(0).result.unwrap().schedule.entries().to_vec()
+        use fairsched_workloads::spec::WorkloadRegistry;
+        let workload: WorkloadSpec = "fpt:k=2".parse().unwrap();
+        let columns = |seed| {
+            let mut grid =
+                Simulation::session().horizon(300).seed(seed).run_grid_reports(
+                    std::slice::from_ref(&workload),
+                    &["fifo".parse().unwrap()],
+                );
+            grid.remove(0).report.unwrap().columns
         };
-        assert_eq!(run(4), run(4));
-        assert_ne!(run(4), run(5), "different seeds must yield different workloads");
+        let direct = |seed| {
+            let trace = WorkloadRegistry::shared()
+                .build(&workload, &WorkloadContext { seed })
+                .unwrap();
+            Simulation::new(&trace)
+                .scheduler("fifo")
+                .unwrap()
+                .horizon(300)
+                .run_report()
+                .unwrap()
+                .columns
+        };
+        assert_eq!(columns(4), columns(4));
+        assert_eq!(columns(4), direct(4), "the grid must build at the session seed");
+        assert_ne!(
+            columns(4),
+            columns(5),
+            "different seeds must yield different workloads"
+        );
     }
 
     #[test]
@@ -1310,8 +1250,10 @@ mod tests {
 
     #[test]
     fn run_grid_reports_collect_typed_errors_and_continue() {
-        let workloads: Vec<WorkloadSpec> =
-            ["fpt:k=2", "fpt:k=0"].iter().map(|s| s.parse().unwrap()).collect();
+        let workloads: Vec<WorkloadSpec> = ["fpt:k=2", "fpt:k=0", "fpt:k=3"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
         let schedulers: Vec<SchedulerSpec> =
             ["fifo", "roundrobin"].iter().map(|s| s.parse().unwrap()).collect();
         let cells = Simulation::session()
@@ -1320,7 +1262,7 @@ mod tests {
             .metrics(&["completed", "psi"])
             .unwrap()
             .run_grid_reports(&workloads, &schedulers);
-        assert_eq!(cells.len(), 4);
+        assert_eq!(cells.len(), 6);
         for cell in &cells {
             if cell.workload.to_string() == "fpt:k=0" {
                 assert!(matches!(
@@ -1334,6 +1276,16 @@ mod tests {
                 assert_eq!(report.metric_specs(), ["completed", "psi"]);
             }
         }
+        // Bad *scheduler* specs likewise fail per cell, not the grid.
+        let cells = Simulation::session().horizon(300).seed(5).run_grid_reports(
+            &["fpt:k=2".parse().unwrap()],
+            &["fifo".parse().unwrap(), "warpdrive".parse().unwrap()],
+        );
+        assert!(cells[0].report.is_ok());
+        assert!(matches!(
+            cells[1].report,
+            Err(SimError::Spec(SpecError::UnknownScheduler { .. }))
+        ));
     }
 
     /// The time axis flows through the session pipeline transparently:

@@ -247,6 +247,13 @@ impl SimSession {
     /// scheduler spec + seed, the base trace, the admission log, and the
     /// stepped-to mark. [`restore`](SimSession::restore) inverts it.
     pub fn snapshot(&self) -> String {
+        self.snapshot_value().to_json()
+    }
+
+    /// The [`snapshot`](SimSession::snapshot) as a JSON tree, for callers
+    /// that embed it in a document of their own;
+    /// [`restore_value`](SimSession::restore_value) inverts it.
+    pub fn snapshot_value(&self) -> Value {
         let stepped = match self.engine.stepped_to() {
             Some(t) => Value::Number(t.to_string()),
             None => Value::Null,
@@ -259,7 +266,6 @@ impl SimSession {
             ("base_trace".to_string(), self.base_trace.to_value()),
             ("admissions".to_string(), self.admissions.to_value()),
         ])
-        .to_json()
     }
 
     /// Rebuilds a session from a [`snapshot`](SimSession::snapshot):
@@ -271,7 +277,13 @@ impl SimSession {
     pub fn restore(snapshot: &str) -> Result<Self, SimError> {
         let v = serde_json::parse_value(snapshot)
             .map_err(|e| SimError::Snapshot { message: e.to_string() })?;
-        let schema: String = field(&v, "schema")?;
+        Self::restore_value(&v)
+    }
+
+    /// [`restore`](SimSession::restore) from an already parsed
+    /// [`snapshot_value`](SimSession::snapshot_value) tree.
+    pub fn restore_value(v: &Value) -> Result<Self, SimError> {
+        let schema: String = field(v, "schema")?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(SimError::Snapshot {
                 message: format!(
@@ -279,11 +291,11 @@ impl SimSession {
                 ),
             });
         }
-        let spec_str: String = field(&v, "scheduler")?;
-        let seed: u64 = field(&v, "seed")?;
-        let stepped_to: Option<Time> = field(&v, "stepped_to")?;
-        let base_trace: Trace = field(&v, "base_trace")?;
-        let admissions: Vec<Admission> = field(&v, "admissions")?;
+        let spec_str: String = field(v, "scheduler")?;
+        let seed: u64 = field(v, "seed")?;
+        let stepped_to: Option<Time> = field(v, "stepped_to")?;
+        let base_trace: Trace = field(v, "base_trace")?;
+        let admissions: Vec<Admission> = field(v, "admissions")?;
         let spec: SchedulerSpec = spec_str.parse()?;
         let mut session = Self::from_parts(base_trace, spec, seed)?;
         // Replay in admission order *before* stepping: equal-release ties

@@ -7,7 +7,7 @@
 //! organizations by Zipf or uniform counts.
 //!
 //! The archive logs themselves are external data; this crate supplies both
-//! halves of the substitution documented in DESIGN.md:
+//! halves of the substitution documented in docs/DESIGN.md §2:
 //!
 //! * [`swf`] — a full parser/writer for the Standard Workload Format, so
 //!   real archive logs can be dropped in unchanged, and

@@ -88,7 +88,5 @@ fn main() {
     println!(
         "did not arise under the literal REF rule — detected (φ(a) < 0) and reported,"
     );
-    println!(
-        "never silently wrong. See DESIGN.md §2 and EXPERIMENTS.md for the analysis."
-    );
+    println!("never silently wrong. See docs/DESIGN.md §2 for the analysis.");
 }

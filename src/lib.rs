@@ -60,19 +60,20 @@
 //!
 //! To sweep several schedulers with identical settings, use
 //! [`sim::Simulation::run_matrix`]; for a full **pure-data experiment
-//! matrix** — workloads × schedulers, no construction code — use
-//! [`sim::Simulation::run_grid`]:
+//! matrix** — workloads × schedulers × metrics, no construction code —
+//! use [`sim::Simulation::run_grid_reports`]:
 //!
 //! ```
 //! use fairsched::sim::Simulation;
 //!
-//! let grid = Simulation::session().horizon(500).seed(7).run_grid(
+//! let grid = Simulation::session().horizon(500).seed(7).run_grid_reports(
 //!     &["fpt:k=2".parse()?, "fpt:k=3".parse()?],
 //!     &["fairshare".parse()?, "roundrobin".parse()?],
 //! );
 //! assert_eq!(grid.len(), 4); // row-major: every workload × every scheduler
-//! for cell in &grid {
-//!     let done = cell.result.as_ref().map(|r| r.completed_jobs).unwrap_or(0);
+//! for cell in grid {
+//!     let report = cell.report?; // a typed per-cell error
+//!     let done = report.column("completed").map_or(0.0, |c| c.aggregate.as_f64());
 //!     println!("{} × {} -> {done} jobs", cell.workload, cell.scheduler);
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -12,7 +12,7 @@
 //!   `OrgMetrics` fields).
 
 use fairsched::core::fairness::FairnessReport;
-use fairsched::core::scheduler::registry::SchedulerSpec;
+use fairsched::core::scheduler::registry::{Registry, SchedulerSpec};
 use fairsched::core::Trace;
 use fairsched::sim::metrics::org_metrics;
 use fairsched::sim::report::{MetricRegistry, MetricValue, Report};
@@ -60,7 +60,7 @@ fn bench_runner_delay_is_bit_identical_to_the_old_path() {
         algos: vec![Algo::RoundRobin, Algo::FairShare, Algo::Rand(5), Algo::Fifo],
         metric: DelayExperiment::delay_metric(),
     };
-    let new = run_instance(&exp, SEED).unwrap();
+    let new = run_instance(&exp, SEED, Registry::shared()).unwrap();
 
     let trace = bench_family_trace(SEED);
     let specs: Vec<SchedulerSpec> = exp.algos.iter().map(Algo::spec).collect();
